@@ -92,7 +92,7 @@ global flags: --threads N   build/query on N worker threads (0 = one per CPU)
                             resident (answers are bit-identical); compress
                             appends a PLN1 plane section for instant restart
                             via open_paged, and fuzz mixes paged-probe round
-                            trips into the op stream
+                            trips through an N-frame pool into the op stream
               --hybrid T    arm the hybrid oracle for frozen planes: rows with
                             more than T merged intervals freeze as bitsets and
                             every reaches probe consults negative-cutoff
@@ -995,9 +995,10 @@ fn fuzz(args: &[String], globals: Globals) -> Result<(), String> {
     let mut codec = false;
     let mut kb_mode = false;
     // The global --paged flag doubles as the gen knob here: it mixes
-    // paged-probe ops (full round trips through an eviction-forcing pool)
-    // into the stream. The engine picks its own tiny pool, so the page
-    // count itself is irrelevant to fuzzing.
+    // paged-probe ops (full round trips through an N-frame pool) into the
+    // stream. Small N forces evictions; every plane has 8 page-aligned
+    // segments, so 2 frames evict on nearly every probe and 5 also hit
+    // frames in the middle of the LRU list.
     let paged = globals.paged.is_some();
     let mut out: Option<String> = None;
     let mut replay: Option<String> = None;
@@ -1027,9 +1028,11 @@ fn fuzz(args: &[String], globals: Globals) -> Result<(), String> {
             other => return Err(format!("unknown fuzz flag {other:?}")),
         }
     }
+    let defaults = tc_fuzz::CheckOptions::default();
     let opts = tc_fuzz::CheckOptions {
         shards: globals.shards.unwrap_or(1),
-        ..tc_fuzz::CheckOptions::default()
+        paged_pool: globals.paged.unwrap_or(defaults.paged_pool),
+        ..defaults
     };
 
     if codec {

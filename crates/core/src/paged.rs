@@ -32,7 +32,8 @@
 //! Every query has a fallible `try_*` form whose reads are bounds-checked
 //! against the directory — a corrupt or truncated section reports
 //! [`PagedError::Corrupt`] instead of panicking or over-allocating, which
-//! is what the `PLN1` byte-mutation fuzz campaign in `tc-fuzz` leans on.
+//! is what the `PLN1` byte-mutation fuzz campaign in `tc-fuzz` leans on —
+//! and a page read that fails reports [`PagedError::Io`].
 //!
 //! [`QueryPlane`]: crate::QueryPlane
 
@@ -680,8 +681,9 @@ pub(crate) fn write_hybrid_overlay<W: Write + Seek>(
 /// The pager and its buffer pool, locked together: the pager's read
 /// counters and the pool's LRU state both need exclusive access, and a
 /// fetch must consult them atomically. Pins escape the lock — a [`PagePin`]
-/// owns its bytes — so the critical section is one HashMap probe plus, on a
-/// miss, one page read.
+/// owns its bytes — so the critical section is one map probe and an O(1)
+/// relink of the recency list plus, on a miss, one page read into a reused
+/// buffer.
 #[derive(Debug)]
 struct PoolInner {
     pager: Pager,
@@ -915,7 +917,7 @@ impl PagedPlane {
         }
         let mut g = self.lock();
         let PoolInner { pager, pool } = &mut *g;
-        Ok(pool.fetch_pin(pager, PageId(page as u32)))
+        Ok(pool.fetch_pin(pager, PageId(page as u32))?)
     }
 
     /// Runs `f` over `len` bytes at `byte_off` within segment `seg`,
@@ -1021,8 +1023,8 @@ impl PagedPlane {
         }
     }
 
-    /// Fallible [`PagedPlane::reaches`]: reports corruption instead of
-    /// panicking.
+    /// Fallible [`PagedPlane::reaches`]: reports corruption and page-read
+    /// errors instead of panicking.
     pub fn try_reaches(&self, src: NodeId, dst: NodeId) -> Result<bool, PagedError> {
         let row = self.check_node(src)?;
         if let Some(h) = &self.hybrid {
@@ -1048,8 +1050,8 @@ impl PagedPlane {
     ///
     /// # Panics
     ///
-    /// Panics if the section is corrupt; use [`PagedPlane::try_reaches`]
-    /// for untrusted files.
+    /// Panics if the section is corrupt or a page read fails; use
+    /// [`PagedPlane::try_reaches`] for untrusted files.
     pub fn reaches(&self, src: NodeId, dst: NodeId) -> bool {
         self.try_reaches(src, dst).expect("paged plane probe")
     }
@@ -1621,6 +1623,55 @@ mod tests {
         bad[off] ^= 0xff;
         let opened = PagedPlane::open_from_bytes(&bad, 4).unwrap();
         assert!(matches!(opened.verify_payload(), Err(PagedError::Corrupt(_))));
+    }
+
+    #[test]
+    fn failed_page_reads_are_errors_and_leave_the_pool_consistent() {
+        let c = sample_closure();
+        let path = temp_path("truncated");
+        c.save_paged(&path).unwrap();
+        let image = fs::read(&path).unwrap();
+        let pool_pages = 4;
+        let paged = PagedPlane::open(&path, pool_pages).unwrap();
+        // Cut the file 100 bytes into the rank segment, which every
+        // `reaches` reads: that page's read comes back short, after
+        // filling part of the buffer.
+        let cut = paged.meta.payload_off + paged.meta.segs[SEG_RANK].off + 100;
+        fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(cut).unwrap();
+        let mut failed = 0u64;
+        // Every read the pager made was a pool miss; each failed probe
+        // stopped at its one failed read, which mapped no frame; every
+        // other miss added a frame or replaced one.
+        let assert_consistent = |failed: u64| {
+            let io = paged.io_stats();
+            assert_eq!(io.pool.misses, io.page_reads);
+            assert_eq!(io.resident as u64, io.pool.misses - io.pool.evictions - failed);
+            assert!(io.resident <= pool_pages);
+        };
+        for v in (0..c.node_count()).step_by(3).map(NodeId::from_index) {
+            for w in (0..c.node_count()).step_by(7).map(NodeId::from_index) {
+                let got = paged.try_reaches(v, w);
+                assert!(matches!(got, Err(PagedError::Io(_))), "reaches({v:?},{w:?}): {got:?}");
+                failed += 1;
+                assert_consistent(failed);
+            }
+        }
+        let mut out = Vec::new();
+        for v in (0..c.node_count()).step_by(5).map(NodeId::from_index) {
+            let got = paged.try_successors_into(v, &mut out);
+            assert!(matches!(got, Err(PagedError::Io(_))), "successors({v:?}): {got:?}");
+            let got = paged.try_predecessors_into(v, &mut out);
+            assert!(matches!(got, Err(PagedError::Io(_))), "predecessors({v:?}): {got:?}");
+            failed += 2;
+            assert_consistent(failed);
+        }
+        // Restore the file under the open plane: had a failed read left a
+        // half-filled frame mapped, the probes below would hit it.
+        fs::write(&path, &image).unwrap();
+        assert_plane_matches(&c, &paged);
+        assert_consistent(failed);
+        drop(paged);
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -71,6 +71,10 @@ pub struct CheckOptions {
     /// is forwarded, flushed, and the scatter-gather answers are compared
     /// after each step (sampled) and at every oracle pass (exhaustively).
     pub shards: usize,
+    /// Buffer-pool frames of the plane each [`Op::PagedProbe`] opens. The
+    /// default, 2, makes nearly every probe evict; a few more frames also
+    /// hit frames between the head and the tail of the LRU list.
+    pub paged_pool: usize,
 }
 
 impl Default for CheckOptions {
@@ -80,6 +84,7 @@ impl Default for CheckOptions {
             oracle_every: 64,
             baseline: true,
             shards: 1,
+            paged_pool: 2,
         }
     }
 }
@@ -179,6 +184,9 @@ pub struct EngineState {
     pub published: Option<PublishedView>,
     /// The lockstep sharded replica, when [`CheckOptions::shards`] > 1.
     pub sharded: Option<ShardedLockstep>,
+    /// Buffer-pool frames for [`Op::PagedProbe`] round trips
+    /// ([`CheckOptions::paged_pool`]).
+    pub paged_pool: usize,
 }
 
 impl EngineState {
@@ -191,7 +199,8 @@ impl EngineState {
         })?;
         let mirror = DiGraph::new();
         let closure = cc.build(&mirror).expect("empty graph is acyclic");
-        Ok(EngineState { closure, mirror, published: None, sharded: None })
+        let paged_pool = CheckOptions::default().paged_pool;
+        Ok(EngineState { closure, mirror, published: None, sharded: None, paged_pool })
     }
 
     /// Attaches a lockstep [`ShardedService`] replica with `shards` shards,
@@ -366,13 +375,14 @@ impl EngineState {
     }
 
     /// Round-trips the closure through the `PLN1` out-of-core format and
-    /// compares the paged plane's answers — served through a 2-frame pool,
-    /// so nearly every probe evicts — against the closure under test:
-    /// every successor set, every predecessor set, every successor count,
-    /// and the shared deterministic point-query sample.
+    /// compares the paged plane's answers — served through a
+    /// [`EngineState::paged_pool`]-frame pool — against the closure under
+    /// test: every successor set, every predecessor set, every successor
+    /// count, and the shared deterministic point-query sample. The pool's
+    /// counters must agree with the pager's afterwards.
     fn check_paged(&self) -> Result<(), String> {
         let bytes = self.closure.to_paged_bytes();
-        let plane = PagedPlane::open_from_bytes(&bytes, 2)
+        let plane = PagedPlane::open_from_bytes(&bytes, self.paged_pool)
             .map_err(|e| format!("open_from_bytes on a freshly written stream: {e}"))?;
         let n = self.mirror.node_count();
         if plane.node_count() != n {
@@ -420,6 +430,13 @@ impl EngineState {
                     ));
                 }
             }
+        }
+        let io = plane.io_stats();
+        if io.pool.misses != io.page_reads || io.resident > self.paged_pool {
+            return Err(format!(
+                "paged pool counters {:?} disagree with {} page reads on a {}-frame pool",
+                io.pool, io.page_reads, self.paged_pool
+            ));
         }
         plane
             .verify_payload()
@@ -695,6 +712,7 @@ fn run_trace_observed(
     mut before_step: impl FnMut(usize),
 ) -> Result<RunReport, Violation> {
     let mut state = EngineState::new(&trace.config)?;
+    state.paged_pool = opts.paged_pool;
     if opts.shards > 1 {
         state.enable_sharding(opts.shards, &trace.config)?;
     }

@@ -25,7 +25,7 @@ enum Backend {
     /// Pages held in memory; supports borrowed [`Pager::read`].
     Mem(Vec<Box<[u8]>>),
     /// Pages live in `file` starting at byte `base`; reads copy into caller
-    /// buffers ([`Pager::read_into`] / [`Pager::read_page`]).
+    /// buffers ([`Pager::read_into`]).
     File { file: File, base: u64, pages: usize },
 }
 
@@ -155,7 +155,7 @@ impl Pager {
     /// Reads a page, borrowing the image. Counted as one disk read.
     ///
     /// Only the in-memory backend can lend a borrow; file-backed pagers must
-    /// use [`Pager::read_into`] or [`Pager::read_page`].
+    /// use [`Pager::read_into`].
     pub fn read(&self, id: PageId) -> &[u8] {
         match &self.backend {
             Backend::Mem(pages) => {
@@ -169,25 +169,22 @@ impl Pager {
     }
 
     /// Reads a page into `buf` (which must be exactly one page). Counted as
-    /// one disk read. Works on both backends.
-    pub fn read_into(&self, id: PageId, buf: &mut [u8]) {
+    /// one disk read. Works on both backends; only a file read can fail
+    /// (e.g. a short read on a truncated file).
+    pub fn read_into(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
         assert_eq!(buf.len(), self.page_size, "partial page read");
         self.reads.set(self.reads.get() + 1);
         match &self.backend {
-            Backend::Mem(pages) => buf.copy_from_slice(&pages[id.0 as usize]),
+            Backend::Mem(pages) => {
+                buf.copy_from_slice(&pages[id.0 as usize]);
+                Ok(())
+            }
             Backend::File { file, base, pages } => {
                 assert!((id.0 as usize) < *pages, "read past allocated pages");
                 let off = *base + id.0 as u64 * self.page_size as u64;
-                file.read_exact_at(buf, off).expect("page read");
+                file.read_exact_at(buf, off)
             }
         }
-    }
-
-    /// Reads a page into a fresh allocation. Counted as one disk read.
-    pub fn read_page(&self, id: PageId) -> Box<[u8]> {
-        let mut buf = vec![0u8; self.page_size].into_boxed_slice();
-        self.read_into(id, &mut buf);
-        buf
     }
 
     /// Total disk reads so far.
@@ -275,15 +272,16 @@ mod tests {
             pager.write(a, &[0x11u8; 64]);
             pager.write(b, &[0x22u8; 64]);
             let mut buf = [0u8; 64];
-            pager.read_into(b, &mut buf);
+            pager.read_into(b, &mut buf).unwrap();
             assert_eq!(buf, [0x22u8; 64]);
             assert_eq!(pager.writes(), 2);
             assert_eq!(pager.reads(), 1);
         }
         let pager = Pager::open_file(&path, 64).expect("open");
         assert_eq!(pager.page_count(), 2);
-        let img = pager.read_page(PageId(0));
-        assert_eq!(&img[..], &[0x11u8; 64][..]);
+        let mut img = [0u8; 64];
+        pager.read_into(PageId(0), &mut img).unwrap();
+        assert_eq!(img, [0x11u8; 64]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -301,8 +299,11 @@ mod tests {
         let file = File::open(&path).expect("open");
         let pager = Pager::open_file_region(file, 100, 2, 64);
         assert_eq!(pager.page_count(), 2);
-        assert_eq!(&pager.read_page(PageId(0))[..], &[0xAAu8; 64][..]);
-        assert_eq!(&pager.read_page(PageId(1))[..], &[0xBBu8; 64][..]);
+        let mut img = [0u8; 64];
+        pager.read_into(PageId(0), &mut img).unwrap();
+        assert_eq!(img, [0xAAu8; 64]);
+        pager.read_into(PageId(1), &mut img).unwrap();
+        assert_eq!(img, [0xBBu8; 64]);
         std::fs::remove_file(&path).ok();
     }
 

@@ -135,6 +135,11 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 counters.connections.fetch_add(1, Ordering::Relaxed);
+                // Every response is flushed on its own; with Nagle's
+                // algorithm on, a pipelining client's delayed ACK would hold
+                // back all but the first answer of each window. Failing to
+                // set the option costs only that latency.
+                let _ = stream.set_nodelay(true);
                 let engine = Arc::clone(&engine);
                 let counters = Arc::clone(&counters);
                 let max_line = config.max_line;

@@ -73,7 +73,7 @@ impl BlobStore {
             let page = (pos / ps) as u32;
             let in_page = (pos % ps) as usize;
             let take = ((ps - pos % ps) as usize).min((end - pos) as usize);
-            let img = pool.fetch(&self.pager, PageId(page));
+            let img = pool.fetch(&self.pager, PageId(page)).expect("in-memory page read");
             out.extend_from_slice(&img[in_page..in_page + take]);
             pos += take as u64;
         }

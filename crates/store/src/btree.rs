@@ -103,7 +103,7 @@ impl BTreeDirectory {
     pub fn lookup(&self, key: u32, pool: &mut BufferPool) -> Option<(u64, u32)> {
         let mut page = self.root;
         for _ in 0..self.height - 1 {
-            let img = pool.fetch(&self.pager, page);
+            let img = pool.fetch(&self.pager, page).expect("in-memory page read");
             let mut buf = img;
             let count = buf.get_u16_le() as usize;
             // Rightmost child whose separator <= key.
@@ -119,7 +119,7 @@ impl BTreeDirectory {
             }
             page = child?;
         }
-        let img = pool.fetch(&self.pager, page);
+        let img = pool.fetch(&self.pager, page).expect("in-memory page read");
         let mut buf = img;
         let count = buf.get_u16_le() as usize;
         for _ in 0..count {

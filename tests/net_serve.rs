@@ -1,6 +1,8 @@
 //! Integration tests for the network serving front end: malformed-input
-//! handling on real sockets, and multi-client network answers checked
-//! against the in-process snapshot reader under churn.
+//! handling on real sockets, multi-client network answers checked against
+//! the in-process snapshot reader under churn, and pipelined requests.
+
+use std::time::{Duration, Instant};
 
 use tc_core::{ClosureConfig, ShardedClosure};
 use tc_graph::{generators, NodeId};
@@ -127,6 +129,44 @@ fn concurrent_clients_match_the_in_process_snapshot_reader() {
     let stats = server.engine().flush();
     assert_eq!(stats.skipped, 0, "shard writers never skip front-validated ops");
     assert_eq!(stats.audit_violation, None);
+    server.stop().expect("accept loop panicked");
+}
+
+#[test]
+fn pipelined_windows_answer_in_order_without_delayed_ack_stalls() {
+    let nodes = 60u32;
+    let server = start_server(nodes as usize, 11, 1);
+    let addr = server.addr().to_string();
+    let dict = Dict::from_bytes(&server.engine().dict_bytes()).unwrap();
+    let mut reader = server.engine().reader();
+    let mut c = Client::connect(&addr).unwrap();
+    assert_eq!(c.request("ping").unwrap(), "ok pong");
+    let started = Instant::now();
+    for window in 0..8u32 {
+        let pairs: Vec<(String, String)> = (0..16u32)
+            .map(|i| {
+                let k = window * 16 + i;
+                (format!("n{}", k * 7 % nodes), format!("n{}", (k * 13 + 5) % nodes))
+            })
+            .collect();
+        // The whole window goes out in one write; the daemon answers each
+        // line with its own flush.
+        let batch: String = pairs.iter().map(|(a, b)| format!("reaches {a} {b}\n")).collect();
+        c.send_raw(batch.as_bytes()).unwrap();
+        for (a, b) in &pairs {
+            let want = reader.reaches(dict.resolve(a).unwrap(), dict.resolve(b).unwrap());
+            assert_eq!(
+                c.read_response().unwrap(),
+                format!("ok {want}"),
+                "window {window}: reaches {a} {b}"
+            );
+        }
+    }
+    // With Nagle's algorithm on the daemon's socket, each window stalls on
+    // the client's delayed ACK, about 40 ms a window and 350 ms in all.
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(160), "8 pipelined windows took {elapsed:?}");
+    assert_eq!(server.caught_panics(), 0);
     server.stop().expect("accept loop panicked");
 }
 
